@@ -1,6 +1,8 @@
 """Setup shim.
 
-All metadata lives in ``pyproject.toml``.  This file exists so that
+The package metadata (name, version, dependencies, the ``repro-igp``
+console script) is declared in the ``[project]`` table of
+``pyproject.toml``.  This file exists so that
 ``pip install -e . --no-build-isolation --no-use-pep517`` works on offline
 machines whose setuptools lacks the ``wheel`` package needed for PEP-660
 editable installs.

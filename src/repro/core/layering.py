@@ -16,9 +16,12 @@ bound the movement variables of the balance LP.
 
 The sweep below runs all partitions simultaneously: a frontier arc only
 propagates between same-partition endpoints, so per-partition BFS waves
-cannot interfere, and every directed arc is inspected O(depth) times in
-pure-numpy batches (no per-vertex Python loops — see the vectorisation
-guidance in the domain guides).
+cannot interfere, and each level is one pure-numpy batch (no per-vertex
+Python loops — see the vectorisation guidance in the domain guides).
+It reads the graph through a frame (:mod:`repro.graph.frame`): level 0
+reads the rows of the boundary superset, and each deeper level reads
+only the rows of the previous level's winners, so interior arcs the
+wave never reaches are never gathered.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.frame import as_frame
 
 __all__ = ["LayeringResult", "layer_partitions"]
 
@@ -100,35 +103,37 @@ def _argmax_per_group(
 
 
 def layer_partitions(
-    graph: CSRGraph,
+    graph,
     part: np.ndarray,
     num_partitions: int,
     loads: np.ndarray | None = None,
 ) -> LayeringResult:
     """Run the Figure 3 layering over all partitions at once.
 
-    ``loads`` (current per-partition weights) optionally steers the
+    ``graph`` is a :class:`~repro.graph.csr.CSRGraph` or a frame over
+    one.  ``loads`` (current per-partition weights) optionally steers the
     boundary-label tie-break toward lighter partitions, which keeps a
     movement corridor open between every pair of adjacent partitions —
     without it, a vertex with equally many edges to two foreign
     partitions always labels the smaller id, and the balance flow can be
     walled off from an under-loaded neighbour (the paper's tie-break is
-    "arbitrary", so this choice is within its specification).
+    "arbitrary", so this choice is within its specification).  As a
+    side effect the frame's boundary superset is tightened to the exact
+    boundary.
     """
-    n = graph.num_vertices
+    frame = as_frame(graph)
+    n = frame.num_vertices
     p = num_partitions
     part = np.asarray(part, dtype=np.int64)
     label = np.full(n, -1, dtype=np.int64)
     layer = np.full(n, -1, dtype=np.int64)
     priority = None if loads is None else np.asarray(loads, dtype=np.float64)
 
-    src = graph.arc_sources()
-    dst = graph.adj
-    same = part[src] == part[dst]
-
     # ---- layer 0: boundary vertices --------------------------------
-    cross_src = src[~same]
-    cross_lab = part[dst[~same]]
+    bsrc, bdst, _ = frame.rows(frame.ensure_boundary(part))
+    cross = part[bsrc] != part[bdst]
+    cross_src = bsrc[cross]
+    cross_lab = part[bdst[cross]]
     if len(cross_src):
         # Count cross edges per (vertex, foreign partition).
         key = cross_src * np.int64(p) + cross_lab
@@ -136,27 +141,27 @@ def layer_partitions(
         g, l = _argmax_per_group(uniq // p, uniq % p, counts, priority)
         label[g] = l
         layer[g] = 0
-        frontier_mask = np.zeros(n, dtype=bool)
-        frontier_mask[g] = True
+        frontier = g  # sorted unique — exactly the boundary
     else:
-        frontier_mask = np.zeros(n, dtype=bool)
+        frontier = np.zeros(0, dtype=np.int64)
+    frame.set_boundary(frontier)
 
     # ---- layers 1..k: propagate inward within each partition --------
     depth = 0
-    while frontier_mask.any():
+    while len(frontier):
         depth += 1
-        active = frontier_mask[src] & same & (label[dst] < 0)
+        fsrc, fdst, _ = frame.rows(frontier)
+        active = (part[fsrc] == part[fdst]) & (label[fdst] < 0)
         if not active.any():
             break
-        v = dst[active]
-        lab = label[src[active]]
+        v = fdst[active]
+        lab = label[fsrc[active]]
         key = v * np.int64(p) + lab
         uniq, counts = np.unique(key, return_counts=True)
         g, l = _argmax_per_group(uniq // p, uniq % p, counts)
         label[g] = l
         layer[g] = depth
-        frontier_mask = np.zeros(n, dtype=bool)
-        frontier_mask[g] = True
+        frontier = g
 
     # ---- δ matrix ----------------------------------------------------
     delta = np.zeros((p, p), dtype=np.float64)
@@ -164,7 +169,7 @@ def layer_partitions(
     if labeled.any():
         flat = part[labeled] * np.int64(p) + label[labeled]
         delta_flat = np.bincount(
-            flat, weights=graph.vweights[labeled], minlength=p * p
+            flat, weights=frame.vweights[labeled], minlength=p * p
         )
         delta = delta_flat.reshape(p, p)
     return LayeringResult(

@@ -9,6 +9,10 @@ Orchestrates the four phases of Figure 1 over one incremental step:
 4. optionally refine the cut via the §2.4 LP (that variant is the
    tables' **IGPR**; without it, **IGP**).
 
+Every phase reads the graph through a frame (:mod:`repro.graph.frame`),
+so a monolithic and a sharded graph run the same stage loop and the
+same phase code.
+
 Staging policy (automating the paper's "trial and error" γ choice): each
 stage first tries exact balance (γ = 1); if the LP is infeasible the
 schedule is walked upward, skipping values whose load target would not
@@ -31,14 +35,18 @@ from repro.core.assign import assign_new_vertices
 from repro.core.balance import solve_balance, solve_balance_relaxed, solve_stage
 from repro.core.layering import layer_partitions
 from repro.core.mover import apply_moves, select_movers
-from repro.core.quality import PartitionQuality, evaluate_partition, partition_weights
+from repro.core.quality import (
+    PartitionQuality,
+    evaluate_partition_frame,
+    partition_weights,
+)
 from repro.core.refine import RefineStats, refine_partition
 from repro.errors import (
     APIUsageError,
     RepartitionInfeasibleError,
     ValidationError,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.frame import as_frame
 from repro.lp.revised import BasisCarrier
 from repro.obs import get_tracer
 
@@ -164,153 +172,23 @@ class IncrementalGraphPartitioner:
         return (self._balance_carrier.basis, self._refine_carrier.basis)
 
     # ------------------------------------------------------------------
-    def repartition(self, graph: CSRGraph, part: np.ndarray) -> RepartitionResult:
-        """Run the pipeline; ``part`` may contain ``-1`` for new vertices."""
-        cfg = self.config
-        p = cfg.num_partitions
-        tracer = get_tracer()
-        timings = {"assign": 0.0, "layering": 0.0, "lp": 0.0, "move": 0.0, "refine": 0.0}
+    def repartition(self, graph, part: np.ndarray) -> RepartitionResult:
+        """Run the pipeline; ``part`` may contain ``-1`` for new vertices.
 
-        with tracer.span("lp.assign") as sp:
-            part = assign_new_vertices(graph, part, p)
-        timings["assign"] = sp.duration_s
-
-        result = RepartitionResult(part=part, timings=timings)
-        result.quality_initial = evaluate_partition(graph, part, p)
-
-        integral = bool(np.allclose(graph.vweights, np.round(graph.vweights)))
-        lam = graph.total_vertex_weight / p
-        # Achievable balance granularity: with unit weights the optimum
-        # max load is ceil(λ); with heavier vertices the mover's
-        # never-overshoot selection can leave up to (w_max − 1) extra
-        # weight on a partition (bin-packing granularity).
-        w_max = float(graph.vweights.max()) if graph.num_vertices else 1.0
-        if integral:
-            balanced_max = float(np.ceil(lam - 1e-9)) + max(w_max - 1.0, 0.0)
-        else:
-            balanced_max = lam * (1 + 1e-9) + w_max
-
-        exact_target = float(np.ceil(lam - 1e-9)) if integral else lam
-
-        def excess_of(loads_vec: np.ndarray) -> float:
-            return float(np.maximum(loads_vec - exact_target, 0.0).sum())
-
-        for _ in range(cfg.max_stages):
-            loads = partition_weights(graph, part, p)
-            max_load = float(loads.max())
-            if max_load <= balanced_max + 1e-9:
-                break  # already balanced
-
-            with tracer.span("lp.layer") as sp:
-                layering = layer_partitions(graph, part, p, loads=loads)
-            timings["layering"] += sp.duration_s
-
-            with tracer.span("lp.balance") as sp:
-                stage = self._solve_stage(layering.delta, loads)
-                if stage is not None:
-                    sp.set("pivots", int(stage[0].result.iterations))
-            timings["lp"] += sp.duration_s
-            if stage is None:
-                raise RepartitionInfeasibleError(
-                    "balance LP infeasible and the relaxation cannot move "
-                    "anything; repartition from scratch or insert vertices "
-                    "in chunks (paper §2.3)",
-                    gamma_tried=cfg.gamma_cap,
-                )
-            solution, gamma = stage
-
-            with tracer.span("lp.move") as sp:
-                movers = select_movers(graph, part, layering, solution.moves)
-                part = apply_moves(part, movers)
-            timings["move"] += sp.duration_s
-
-            new_loads = partition_weights(graph, part, p)
-            if not np.isfinite(gamma):
-                gamma = float(new_loads.max()) / lam  # relaxed stage
-                if gamma > cfg.gamma_cap + 1e-9:
-                    raise RepartitionInfeasibleError(
-                        f"imbalance after relaxed stage ({gamma:.2f}) "
-                        f"exceeds the cap C={cfg.gamma_cap} (paper §2.3)",
-                        gamma_tried=gamma,
-                    )
-            if excess_of(new_loads) >= excess_of(loads) - 1e-9:
-                raise RepartitionInfeasibleError(
-                    "balance stage made no progress (movers could not "
-                    "realise the LP flow — indivisible vertex weights?)",
-                    gamma_tried=gamma,
-                )
-            result.stages.append(
-                StageRecord(
-                    gamma=gamma,
-                    total_moved=solution.total_movement,
-                    lp_variables=solution.balance_lp.num_variables,
-                    lp_constraints=solution.balance_lp.num_constraints,
-                    lp_iterations=solution.result.iterations,
-                    max_load_before=max_load,
-                    max_load_after=float(new_loads.max()),
-                )
-            )
-        else:
-            loads = partition_weights(graph, part, p)
-            if float(loads.max()) > balanced_max + 1e-9:
-                raise RepartitionInfeasibleError(
-                    f"balance not reached within {cfg.max_stages} stages",
-                    gamma_tried=cfg.gamma_cap,
-                )
-
-        if cfg.refine:
-            with tracer.span("lp.refine") as sp:
-                part, refine_stats = refine_partition(
-                    graph,
-                    part,
-                    p,
-                    max_rounds=cfg.refine_max_rounds,
-                    strict_after=cfg.refine_strict_after,
-                    min_gain=cfg.refine_min_gain,
-                    lp_backend=cfg.lp_backend,
-                    carrier=self._refine_carrier,
-                )
-                sp.set("pivots", int(refine_stats.lp_iterations))
-                sp.set("rounds", int(refine_stats.rounds))
-            timings["refine"] = sp.duration_s
-            result.refine_stats = refine_stats
-
-        result.part = part
-        result.quality_final = evaluate_partition(graph, part, p)
-        return result
-
-    # ------------------------------------------------------------------
-    def repartition_frame(self, frame, part: np.ndarray) -> RepartitionResult:
-        """:meth:`repartition` through a :class:`~repro.graph.frame
-        .BoundaryFrame` — the shard-native path.
-
-        Mirrors :meth:`repartition` phase for phase using the frame-native
-        twins in :mod:`repro.core.shardlp` and the frame metrics in
-        :mod:`repro.core.quality`; shares this instance's warm-start
-        carriers and :meth:`_solve_stage`, so labels, pivots, stage
-        records and quality bundles are bit-identical to running the
-        monolithic pipeline on ``frame.graph.to_csr()`` — without ever
-        assembling it.  λ comes from :attr:`~repro.graph.frame
-        .BoundaryFrame.total_vertex_weight` (monolithic summation order,
-        not the sharded handle's per-shard partial sums).
+        ``graph`` is a :class:`~repro.graph.csr.CSRGraph` or a frame
+        (:mod:`repro.graph.frame`); every phase reads it through one, so
+        a sharded graph's :class:`~repro.graph.frame.BoundaryFrame` and a
+        monolith's ``boundary_frame()`` run the same code and give
+        bit-identical labels, stage records and pivots.
         """
-        from repro.core.shardlp import (
-            assign_new_vertices_frame,
-            layer_partitions_frame,
-            refine_partition_frame,
-        )
-        from repro.core.quality import (
-            evaluate_partition_frame,
-            validate_partition_vector,
-        )
-
         cfg = self.config
         p = cfg.num_partitions
+        frame = as_frame(graph)
         tracer = get_tracer()
         timings = {"assign": 0.0, "layering": 0.0, "lp": 0.0, "move": 0.0, "refine": 0.0}
 
         with tracer.span("lp.assign") as sp:
-            part = assign_new_vertices_frame(frame, part, p)
+            part = assign_new_vertices(frame, part, p)
         timings["assign"] = sp.duration_s
 
         result = RepartitionResult(part=part, timings=timings)
@@ -319,6 +197,10 @@ class IncrementalGraphPartitioner:
         vweights = frame.vweights
         integral = bool(np.allclose(vweights, np.round(vweights)))
         lam = frame.total_vertex_weight / p
+        # Achievable balance granularity: with unit weights the optimum
+        # max load is ceil(λ); with heavier vertices the mover's
+        # never-overshoot selection can leave up to (w_max − 1) extra
+        # weight on a partition (bin-packing granularity).
         w_max = float(vweights.max()) if frame.num_vertices else 1.0
         if integral:
             balanced_max = float(np.ceil(lam - 1e-9)) + max(w_max - 1.0, 0.0)
@@ -330,18 +212,14 @@ class IncrementalGraphPartitioner:
         def excess_of(loads_vec: np.ndarray) -> float:
             return float(np.maximum(loads_vec - exact_target, 0.0).sum())
 
-        def loads_of(vec: np.ndarray) -> np.ndarray:
-            vec = validate_partition_vector(frame, vec, p)
-            return np.bincount(vec, weights=vweights, minlength=p)
-
         for _ in range(cfg.max_stages):
-            loads = loads_of(part)
+            loads = partition_weights(frame, part, p)
             max_load = float(loads.max())
             if max_load <= balanced_max + 1e-9:
                 break  # already balanced
 
             with tracer.span("lp.layer") as sp:
-                layering = layer_partitions_frame(frame, part, p, loads=loads)
+                layering = layer_partitions(frame, part, p, loads=loads)
             timings["layering"] += sp.duration_s
 
             with tracer.span("lp.balance") as sp:
@@ -365,7 +243,7 @@ class IncrementalGraphPartitioner:
                     frame.note_moves(np.concatenate(list(movers.values())))
             timings["move"] += sp.duration_s
 
-            new_loads = loads_of(part)
+            new_loads = partition_weights(frame, part, p)
             if not np.isfinite(gamma):
                 gamma = float(new_loads.max()) / lam  # relaxed stage
                 if gamma > cfg.gamma_cap + 1e-9:
@@ -392,7 +270,7 @@ class IncrementalGraphPartitioner:
                 )
             )
         else:
-            loads = loads_of(part)
+            loads = partition_weights(frame, part, p)
             if float(loads.max()) > balanced_max + 1e-9:
                 raise RepartitionInfeasibleError(
                     f"balance not reached within {cfg.max_stages} stages",
@@ -401,7 +279,7 @@ class IncrementalGraphPartitioner:
 
         if cfg.refine:
             with tracer.span("lp.refine") as sp:
-                part, refine_stats = refine_partition_frame(
+                part, refine_stats = refine_partition(
                     frame,
                     part,
                     p,
@@ -419,6 +297,10 @@ class IncrementalGraphPartitioner:
         result.part = part
         result.quality_final = evaluate_partition_frame(frame, part, p)
         return result
+
+    def repartition_frame(self, frame, part: np.ndarray) -> RepartitionResult:
+        """:meth:`repartition` on a frame (the sharded flush entry point)."""
+        return self.repartition(frame, part)
 
     # ------------------------------------------------------------------
     def _solve_stage(self, delta, loads):

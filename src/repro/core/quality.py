@@ -117,7 +117,7 @@ def cut_metrics(
 
 
 def _frame_cross_arcs(frame, part: np.ndarray):
-    """Cross arcs of ``part`` read through a boundary frame.
+    """Cross arcs of ``part`` read through a frame.
 
     Every cross arc's source is a boundary vertex, and the frame's
     boundary set is a superset of the boundary — so filtering the
@@ -131,9 +131,9 @@ def _frame_cross_arcs(frame, part: np.ndarray):
 
 
 def edge_cut_frame(frame, part: np.ndarray) -> float:
-    """:func:`edge_cut` read through a
-    :class:`~repro.graph.frame.BoundaryFrame` — no interior shard is
-    paged; bit-identical to the monolithic result."""
+    """:func:`edge_cut` read through a frame (:mod:`repro.graph.frame`)
+    — only boundary rows are gathered; bit-identical to the whole-graph
+    result."""
     part = np.asarray(part, dtype=np.int64)
     _, cross_ew = _frame_cross_arcs(frame, part)
     return float(cross_ew.sum() / 2.0)
@@ -142,7 +142,7 @@ def edge_cut_frame(frame, part: np.ndarray) -> float:
 def cut_metrics_frame(
     frame, part: np.ndarray, num_partitions: int
 ) -> tuple[float, np.ndarray]:
-    """:func:`cut_metrics` through a boundary frame (monolith-exact)."""
+    """:func:`cut_metrics` through a frame (bit-identical)."""
     part = validate_partition_vector(frame, part, num_partitions)
     cross_src, cross_ew = _frame_cross_arcs(frame, part)
     per_part = np.bincount(
@@ -154,26 +154,16 @@ def cut_metrics_frame(
 def evaluate_partition_frame(
     frame, part: np.ndarray, num_partitions: int
 ) -> "PartitionQuality":
-    """:func:`evaluate_partition` through a boundary frame.
+    """:func:`evaluate_partition` through a frame.
 
-    The weight vector comes from the frame's incrementally-maintained
-    ``vweights`` (current-id order — the same array ``to_csr()`` would
-    assemble), so the whole bundle matches the monolithic evaluation
-    bit for bit while paging only boundary-owning shards.
+    The weight vector comes from the frame's ``vweights`` (for a
+    sharded graph the incrementally maintained current-id vector — the
+    same array ``to_csr()`` would assemble), so the whole bundle matches
+    :func:`evaluate_partition` bit for bit while reading only boundary
+    rows.
     """
     total, per_part = cut_metrics_frame(frame, part, num_partitions)
-    part = np.asarray(part, dtype=np.int64)
-    w = np.bincount(part, weights=frame.vweights, minlength=num_partitions)
-    mean = w.sum() / num_partitions if num_partitions else 0.0
-    return PartitionQuality(
-        num_partitions=num_partitions,
-        cut_total=total,
-        cut_max=float(per_part.max()) if num_partitions else 0.0,
-        cut_min=float(per_part.min()) if num_partitions else 0.0,
-        cut_per_partition=per_part,
-        weights=w,
-        imbalance=float(w.max() / mean) if mean > 0 else np.inf,
-    )
+    return _quality(total, per_part, partition_weights(frame, part, num_partitions))
 
 
 @dataclass(frozen=True)
@@ -211,7 +201,11 @@ def evaluate_partition(
 ) -> PartitionQuality:
     """Compute the full quality bundle for a partition vector."""
     total, per_part = cut_metrics(graph, part, num_partitions)
-    w = partition_weights(graph, part, num_partitions)
+    return _quality(total, per_part, partition_weights(graph, part, num_partitions))
+
+
+def _quality(total: float, per_part: np.ndarray, w: np.ndarray) -> PartitionQuality:
+    num_partitions = len(w)
     mean = w.sum() / num_partitions if num_partitions else 0.0
     return PartitionQuality(
         num_partitions=num_partitions,

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.quality import edge_cut
+from repro.core.quality import edge_cut_frame
+from repro.graph.frame import as_frame
 from repro.lp.backends import solve_with_backend
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult
@@ -83,16 +84,14 @@ def refinement_pools(
     For every vertex with cross edges: ``in(v)`` is the weight of edges to
     its own partition, ``out(v, j)`` the weight to partition ``j``.  A
     vertex joins the pool of its best foreign partition when
-    ``out − in ≥ 0`` (or ``> 0`` in strict mode).
+    ``out − in ≥ 0`` (or ``> 0`` in strict mode).  ``graph`` is a
+    :class:`~repro.graph.csr.CSRGraph` or a frame over one; only the
+    boundary rows are read.
     """
+    frame = as_frame(graph)
+    src, dst, ew = frame.rows(frame.ensure_boundary(part))
     return refinement_pools_from_arcs(
-        graph.arc_sources(),
-        graph.adj,
-        graph.eweights,
-        graph.num_vertices,
-        part,
-        num_partitions,
-        strict,
+        src, dst, ew, frame.num_vertices, part, num_partitions, strict
     )
 
 
@@ -107,12 +106,11 @@ def refinement_pools_from_arcs(
 ) -> RefinementPass:
     """:func:`refinement_pools` over explicit arc arrays.
 
-    The shard-native path (:func:`repro.core.shardlp
-    .refine_partition_frame`) calls this with the *boundary rows* of a
-    :class:`~repro.graph.frame.BoundaryFrame` — a global-CSR-order
-    subsequence that contains every cross arc, so ``in_w`` is complete
-    for every vertex that can appear in a pool and all sums accumulate
-    in the monolithic order.
+    The arcs must contain every row of every vertex with a cross arc,
+    in global CSR order — the boundary rows a frame returns qualify, as
+    do a whole graph's arc arrays.  ``in_w`` is then complete for every
+    vertex that can appear in a pool, and all sums accumulate in the
+    same order whichever superset of the boundary rows is passed.
     """
     p = num_partitions
     part = np.asarray(part, dtype=np.int64)
@@ -196,15 +194,22 @@ def refine_partition(
     its row structure (one flow-conservation row per partition), so the
     previous round's basis usually prices out in a handful of pivots
     under ``lp_backend="revised"``.
+
+    ``graph`` is a :class:`~repro.graph.csr.CSRGraph` or a frame over
+    one.  Pools come from the boundary rows and cuts from
+    :func:`~repro.core.quality.edge_cut_frame`; before each candidate
+    cut is evaluated the frame's boundary superset is grown by the
+    movers and their neighbours.
     """
+    frame = as_frame(graph)
     part = np.asarray(part, dtype=np.int64).copy()
-    stats = RefineStats(cut_before=edge_cut(graph, part))
+    stats = RefineStats(cut_before=edge_cut_frame(frame, part))
     current_cut = stats.cut_before
     forced_strict = False
 
     for round_idx in range(max_rounds):
         strict = forced_strict or round_idx >= strict_after
-        pass_ = refinement_pools(graph, part, num_partitions, strict)
+        pass_ = refinement_pools(frame, part, num_partitions, strict)
         if pass_.lp is None:
             break
         result: LPResult = solve_with_backend(
@@ -219,7 +224,7 @@ def refine_partition(
         # Realise the circulation: flows are integral (TU matrix), pools
         # are disjoint, so exact counts always exist.
         candidate = part.copy()
-        moved = 0
+        moved_ids: list[np.ndarray] = []
         x = np.clip(np.round(np.asarray(result.x)), 0, None)
         for k, (i, j) in enumerate(pass_.pairs):
             count = int(x[k])
@@ -227,10 +232,13 @@ def refine_partition(
                 continue
             movers = pass_.pools[(i, j)][:count]
             candidate[movers] = j
-            moved += len(movers)
-        if moved == 0:
+            moved_ids.append(movers)
+        if not moved_ids:
             break
-        new_cut = edge_cut(graph, candidate)
+        moved = np.concatenate(moved_ids)
+        # Only the movers and their neighbours can change crossness.
+        frame.note_moves(moved)
+        new_cut = edge_cut_frame(frame, candidate)
         if new_cut > current_cut + 1e-9:
             # Batch interactions made the snapshot gains lie.  Zero-gain
             # shuttling is the usual culprit: retry in strict mode once
@@ -243,7 +251,7 @@ def refine_partition(
         stats.reverted_last_round = False
         part = candidate
         stats.rounds += 1
-        stats.vertices_moved += moved
+        stats.vertices_moved += len(moved)
         gain = current_cut - new_cut
         current_cut = new_cut
         if gain < min_gain and strict:

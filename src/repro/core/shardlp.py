@@ -1,296 +1,20 @@
-"""Shard-native LP assembly: the paper's phases read through a BoundaryFrame.
+"""Compatibility re-exports of the frame-reading phase functions.
 
-Each function here is the frame-native twin of a monolithic phase —
-:func:`assign_new_vertices_frame` ↔ :func:`repro.core.assign
-.assign_new_vertices`, :func:`layer_partitions_frame` ↔
-:func:`repro.core.layering.layer_partitions`,
-:func:`refine_partition_frame` ↔ :func:`repro.core.refine
-.refine_partition` — consuming arcs via :meth:`~repro.graph.frame
-.BoundaryFrame.rows` instead of global ``arc_sources()/adj`` arrays.
-
-**The bit-parity contract.**  Every twin produces byte-identical
-results to running its monolithic original on ``graph.to_csr()``:
-
-* ``rows(vertices)`` returns the exact global-CSR-order subsequence of
-  the monolith's arc arrays (current order == birth order and block
-  rows are birth-sorted), so filtering it by the same predicates feeds
-  every ``np.unique``/``np.bincount``/``np.lexsort`` the same inputs in
-  the same order;
-* BFS waves only ever expand out of already-gathered rows: assignment
-  propagates through *new* vertices (their rows are gathered up
-  front — the level-1 wave uses the mirror arcs new→old), layering
-  propagates out of the level-k winners (a subset of the rows just
-  gathered);
-* the tie-breaks are the exact monolithic expressions
-  (:func:`~repro.core.layering._argmax_per_group`, the smallest-label
-  lexsorts), reused, not reimplemented;
-* weight sums use the frame's current-id ``vweights`` vector in the
-  same expressions — not the sharded handle's per-shard partials,
-  whose float accumulation order differs.
-
-The LP solves themselves (``solve_balance``/``solve_stage``/the
-refinement circulation) are byte-for-byte the same code with the same
-δ / loads / pool inputs and the same warm-start carriers, so pivot
-counts match too.  ``tests/test_shard_native.py`` asserts all of this
-against the monolithic path on the standard workload streams.
+Every phase reads its graph through a frame (:mod:`repro.graph.frame`),
+so the shard-native phases are the ordinary ones in
+:mod:`repro.core.assign`, :mod:`repro.core.layering` and
+:mod:`repro.core.refine`; the ``*_frame`` names are kept as aliases for
+external code.  Library code imports the phase modules directly.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-from repro.core.layering import LayeringResult, _argmax_per_group
-from repro.core.quality import edge_cut_frame
-from repro.core.refine import (
-    RefineStats,
-    refinement_pools_from_arcs,
-)
-from repro.errors import GraphError
+from repro.core.assign import assign_new_vertices as assign_new_vertices_frame
+from repro.core.layering import layer_partitions as layer_partitions_frame
+from repro.core.refine import refine_partition as refine_partition_frame
 from repro.lp.backends import solve_with_backend
-from repro.lp.result import LPResult
-from repro.lp.revised import BasisCarrier
 
 __all__ = [
     "assign_new_vertices_frame",
     "layer_partitions_frame",
     "refine_partition_frame",
+    "solve_with_backend",
 ]
-
-
-def assign_new_vertices_frame(
-    frame, part: np.ndarray, num_partitions: int
-) -> np.ndarray:
-    """Frame-native §2.1 assignment (twin of ``assign_new_vertices``).
-
-    Gathers only the rows of the *unassigned* vertices: the monolith's
-    multi-source BFS from all assigned vertices claims an unassigned
-    vertex ``u`` at level 1 through arcs ``v→u`` — the mirrors of
-    ``u``'s own arcs ``u→v`` — and at deeper levels through arcs out of
-    previously claimed (unassigned) vertices, whose rows are already in
-    hand.  The per-level smallest-label tie-break is the monolith's
-    lexsort over the same (vertex, label) multisets.
-    """
-    part = np.asarray(part, dtype=np.int64).copy()
-    n = frame.num_vertices
-    if len(part) != n:
-        raise GraphError("partition vector length mismatch")
-    unassigned = part < 0
-    if not unassigned.any():
-        return part
-    if unassigned.all():
-        raise GraphError(
-            "no assigned vertices to inherit from; partition the graph "
-            "from scratch instead (paper §2.1 assumes an existing mapping)"
-        )
-
-    new_ids = np.flatnonzero(unassigned)
-    src, dst, _ = frame.rows(new_ids)
-
-    owner = np.full(n, -1, dtype=np.int64)
-    owner[~unassigned] = part[~unassigned]
-    claimed = ~unassigned
-
-    # Level 1: the assigned region's wave arrives over the mirror arcs
-    # u->v (u unassigned, v assigned) — same (u, part[v]) multiset the
-    # monolith gathers from the v->u direction.
-    sel = owner[dst] >= 0
-    nbrs, lab = src[sel], part[dst[sel]]
-    while len(nbrs):
-        # Smallest label wins a tie: sort by (vertex, label), keep first.
-        o = np.lexsort((lab, nbrs))
-        nbrs, lab = nbrs[o], lab[o]
-        first = np.ones(len(nbrs), dtype=bool)
-        first[1:] = nbrs[1:] != nbrs[:-1]
-        nbrs, lab = nbrs[first], lab[first]
-        owner[nbrs] = lab
-        claimed[nbrs] = True
-        frontier_mask = np.zeros(n, dtype=bool)
-        frontier_mask[nbrs] = True
-        active = frontier_mask[src] & ~claimed[dst]
-        nbrs, lab = dst[active], owner[src[active]]
-
-    reached = unassigned & (owner >= 0)
-    part[reached] = owner[reached]
-
-    # Fallback: clusters disconnected from every assigned vertex go to
-    # the lightest partition (paper §2.1, second bullet).  Such a
-    # cluster is a connected component made only of still-unassigned
-    # vertices, and the monolith visits components in order of their
-    # smallest member id — reproduced by sweeping ``rest`` ascending.
-    rest = np.flatnonzero(part < 0)
-    if len(rest):
-        weights = np.bincount(
-            part[part >= 0], weights=frame.vweights[part >= 0],
-            minlength=num_partitions,
-        ).astype(np.float64)
-        restmask = np.zeros(n, dtype=bool)
-        restmask[rest] = True
-        between = restmask[src] & restmask[dst]
-        adj_map: dict[int, list[int]] = {}
-        for a, b in zip(src[between].tolist(), dst[between].tolist()):
-            adj_map.setdefault(a, []).append(b)
-        seen: set[int] = set()
-        for start in rest.tolist():
-            if start in seen:
-                continue
-            seen.add(start)
-            members = [start]
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for v in adj_map.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        members.append(v)
-                        queue.append(v)
-            cluster = np.asarray(sorted(members), dtype=np.int64)
-            target = int(np.argmin(weights))
-            part[cluster] = target
-            weights[target] += frame.vweights[cluster].sum()
-    return part
-
-
-def layer_partitions_frame(
-    frame,
-    part: np.ndarray,
-    num_partitions: int,
-    loads: np.ndarray | None = None,
-) -> LayeringResult:
-    """Frame-native §2.2 layering (twin of ``layer_partitions``).
-
-    Level 0 reads the boundary superset's rows; since every cross arc's
-    source is a true boundary vertex, the cross-arc key array equals
-    the monolith's, and the superset is tightened to the exact boundary
-    as a side effect.  Deeper levels gather the rows of the previous
-    level's winners — by construction already boundary-reachable, so
-    each level pages at most the shards the wave actually enters (all
-    cached across flushes while untouched).
-    """
-    n = frame.num_vertices
-    p = num_partitions
-    part = np.asarray(part, dtype=np.int64)
-    label = np.full(n, -1, dtype=np.int64)
-    layer = np.full(n, -1, dtype=np.int64)
-    priority = None if loads is None else np.asarray(loads, dtype=np.float64)
-
-    # ---- layer 0: boundary vertices --------------------------------
-    bsrc, bdst, _ = frame.rows(frame.ensure_boundary(part))
-    cross = part[bsrc] != part[bdst]
-    cross_src = bsrc[cross]
-    cross_lab = part[bdst[cross]]
-    if len(cross_src):
-        key = cross_src * np.int64(p) + cross_lab
-        uniq, counts = np.unique(key, return_counts=True)
-        g, l = _argmax_per_group(uniq // p, uniq % p, counts, priority)
-        label[g] = l
-        layer[g] = 0
-        frontier = g  # sorted unique — exactly the boundary
-    else:
-        frontier = np.zeros(0, dtype=np.int64)
-    frame.set_boundary(frontier)
-
-    # ---- layers 1..k: propagate inward within each partition --------
-    depth = 0
-    while len(frontier):
-        depth += 1
-        fsrc, fdst, _ = frame.rows(frontier)
-        active = (part[fsrc] == part[fdst]) & (label[fdst] < 0)
-        if not active.any():
-            break
-        v = fdst[active]
-        lab = label[fsrc[active]]
-        key = v * np.int64(p) + lab
-        uniq, counts = np.unique(key, return_counts=True)
-        g, l = _argmax_per_group(uniq // p, uniq % p, counts)
-        label[g] = l
-        layer[g] = depth
-        frontier = g
-
-    # ---- δ matrix ----------------------------------------------------
-    delta = np.zeros((p, p), dtype=np.float64)
-    labeled = label >= 0
-    if labeled.any():
-        flat = part[labeled] * np.int64(p) + label[labeled]
-        delta_flat = np.bincount(
-            flat, weights=frame.vweights[labeled], minlength=p * p
-        )
-        delta = delta_flat.reshape(p, p)
-    return LayeringResult(
-        label=label, layer=layer, delta=delta, num_partitions=p
-    )
-
-
-def refine_partition_frame(
-    frame,
-    part: np.ndarray,
-    num_partitions: int,
-    *,
-    max_rounds: int = 8,
-    strict_after: int = 2,
-    min_gain: float = 0.5,
-    lp_backend: str = "tableau",
-    carrier: BasisCarrier | None = None,
-) -> tuple[np.ndarray, RefineStats]:
-    """Frame-native §2.4 refinement (twin of ``refine_partition``).
-
-    Pools come from the boundary rows (complete: every pool candidate
-    has a cross arc), cuts from :func:`~repro.core.quality
-    .edge_cut_frame`; before each candidate cut is evaluated the
-    boundary superset is grown by the movers and their neighbours, the
-    only vertices whose arcs can change crossness.
-    """
-    part = np.asarray(part, dtype=np.int64).copy()
-    stats = RefineStats(cut_before=edge_cut_frame(frame, part))
-    current_cut = stats.cut_before
-    forced_strict = False
-
-    for round_idx in range(max_rounds):
-        strict = forced_strict or round_idx >= strict_after
-        src, dst, ew = frame.rows(frame.ensure_boundary(part))
-        pass_ = refinement_pools_from_arcs(
-            src, dst, ew, frame.num_vertices, part, num_partitions, strict
-        )
-        if pass_.lp is None:
-            break
-        result: LPResult = solve_with_backend(
-            lp_backend, pass_.lp, carrier.basis if carrier is not None else None
-        )
-        if carrier is not None:
-            carrier.update_from(result)
-        stats.lp_iterations += result.iterations
-        if not result.is_optimal or result.objective <= 1e-9:
-            break
-
-        candidate = part.copy()
-        moved = 0
-        moved_ids: list[np.ndarray] = []
-        x = np.clip(np.round(np.asarray(result.x)), 0, None)
-        for k, (i, j) in enumerate(pass_.pairs):
-            count = int(x[k])
-            if count == 0:
-                continue
-            movers = pass_.pools[(i, j)][:count]
-            candidate[movers] = j
-            moved += len(movers)
-            moved_ids.append(movers)
-        if moved == 0:
-            break
-        frame.note_moves(np.concatenate(moved_ids))
-        new_cut = edge_cut_frame(frame, candidate)
-        if new_cut > current_cut + 1e-9:
-            stats.reverted_last_round = True
-            if not strict:
-                forced_strict = True
-                continue
-            break
-        stats.reverted_last_round = False
-        part = candidate
-        stats.rounds += 1
-        stats.vertices_moved += moved
-        gain = current_cut - new_cut
-        current_cut = new_cut
-        if gain < min_gain and strict:
-            break
-
-    stats.cut_after = current_cut
-    return part, stats

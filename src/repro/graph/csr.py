@@ -206,6 +206,13 @@ class CSRGraph:
         """Source vertex of each stored arc (length ``2 m``)."""
         return np.repeat(np.arange(self.num_vertices, dtype=np.int64), np.diff(self.xadj))
 
+    def boundary_frame(self):
+        """A :class:`~repro.graph.frame.CSRFrame` on this graph: the
+        boundary-local view every LP phase reads a graph through."""
+        from repro.graph.frame import CSRFrame
+
+        return CSRFrame(self)
+
     def to_adjacency_dict(self) -> dict[int, list[int]]:
         """Export as ``{u: sorted neighbour list}`` (for tests / debugging)."""
         return {

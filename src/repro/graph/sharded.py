@@ -759,15 +759,14 @@ class ShardedCSRGraph:
     # ------------------------------------------------------------------
     # Shard-native LP assembly
     # ------------------------------------------------------------------
-    def boundary_frame(self, *, max_cached_blocks: int | None = None):
+    def boundary_frame(self):
         """A fresh :class:`~repro.graph.frame.BoundaryFrame` on this
-        handle — the shard-native assembly state the LP pipeline
-        consumes instead of :meth:`to_csr` (see
-        :meth:`~repro.core.partitioner.IncrementalGraphPartitioner
-        .repartition_frame`)."""
+        handle: the frame every LP phase reads a sharded graph through
+        instead of :meth:`to_csr` (the same phase code that reads a
+        monolith through ``CSRGraph.boundary_frame()``)."""
         from repro.graph.frame import BoundaryFrame
 
-        return BoundaryFrame(self, max_cached_blocks=max_cached_blocks)
+        return BoundaryFrame(self)
 
     # ------------------------------------------------------------------
     # Monolith assembly

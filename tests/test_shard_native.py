@@ -74,28 +74,6 @@ class TestFrameParity:
             assert mq.cut_total == sq.cut_total
             assert mq.imbalance == sq.imbalance
 
-    def test_shard_native_off_matches_on(self):
-        base, deltas = make_stream("churn", scale=0.3, steps=5, seed=3)
-        part = rsb_partition(base, 4, seed=0)
-
-        def run(shard_native):
-            sp = StreamingPartitioner(
-                ShardedCSRGraph.from_csr(base, 5),
-                part,
-                num_partitions=4,
-                refine=True,
-                lp_backend="revised",
-                policy=FlushPolicy(max_pending=1),
-                strict=False,
-                shard_native=shard_native,
-            )
-            sp.extend(deltas)
-            return sp
-
-        native, debug = run(True), run(False)
-        assert np.array_equal(native.part, debug.part)
-        assert batch_pivots(native) == batch_pivots(debug)
-
     def test_empty_batch_repartition_uses_frame(self):
         base, _ = make_stream("churn", scale=0.2, steps=2, seed=1)
         sp = StreamingPartitioner(
@@ -196,22 +174,24 @@ class TestSessionQuality:
 
 
 class TestBoundaryFrameUnit:
-    def test_rows_are_global_csr_subsequence(self):
-        base = grid_graph(6, 6)
-        frame = BoundaryFrame(ShardedCSRGraph.from_csr(base, 3))
-        verts = np.array([0, 7, 20, 35])
-        src, dst, ew = frame.rows(verts)
+    VERTS = np.array([0, 7, 20, 35])
+
+    def _assert_global_csr_subsequence(self, base, frame):
+        src, dst, ew = frame.rows(self.VERTS)
         gsrc = base.arc_sources()
-        keep = np.isin(gsrc, verts)
+        keep = np.isin(gsrc, self.VERTS)
         assert np.array_equal(src, gsrc[keep])
         assert np.array_equal(dst, base.adj[keep])
         assert np.array_equal(ew, base.eweights[keep])
 
-    def test_cache_cap_validation(self):
-        base = grid_graph(4, 4)
-        sharded = ShardedCSRGraph.from_csr(base, 2)
-        with pytest.raises(repro.errors.GraphError):
-            BoundaryFrame(sharded, max_cached_blocks=0)
+    def test_rows_are_global_csr_subsequence(self):
+        base = grid_graph(6, 6)
+        frame = BoundaryFrame(ShardedCSRGraph.from_csr(base, 3))
+        self._assert_global_csr_subsequence(base, frame)
+
+    def test_csr_frame_rows_are_global_csr_subsequence(self):
+        base = grid_graph(6, 6)
+        self._assert_global_csr_subsequence(base, base.boundary_frame())
 
 
 class TestRPR801:
