@@ -390,6 +390,9 @@ class _ModuleSummarizer:
         if not isinstance(value, (ast.Tuple, ast.List)):
             return
         for elt in value.elts:
+            # A bare name, or a table row whose first argument is one.
+            if isinstance(elt, ast.Call) and elt.args:
+                elt = elt.args[0]
             if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
                 self.summary.ops.append(elt.value)
 

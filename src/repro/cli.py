@@ -409,17 +409,11 @@ def _cmd_gateway(args) -> int:
 
 
 def _client(args):
+    from repro.service.client import Client, ServiceClient
+
     if args.http:
-        from repro.gateway import GatewayClient
-
-        port = args.port if args.port is not None else 8421
-        return GatewayClient(
-            args.host, port, uds=args.uds, token=args.token
-        )
-    from repro.service.client import ServiceClient
-
-    port = args.port if args.port is not None else 7421
-    return ServiceClient(args.host, port, uds=args.uds)
+        return Client(args.host, args.port, uds=args.uds, token=args.token)
+    return ServiceClient(args.host, args.port, uds=args.uds)
 
 
 def _client_policy(args):
@@ -466,7 +460,7 @@ def _cmd_client_feed(args) -> int:
         if not source:
             print(
                 f"session {args.name!r} was not created from a named workload "
-                f"source; feed it programmatically via ServiceClient.push",
+                f"source; feed it programmatically via Client.push",
                 file=sys.stderr,
             )
             return 1

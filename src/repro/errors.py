@@ -139,9 +139,9 @@ class SnapshotError(ReproError):
 class ServiceError(ReproError):
     """A partition-service request failed.
 
-    Raised by :class:`repro.service.client.ServiceClient` for
-    server-reported failures, malformed wire frames, and connection
-    problems, and by the service layer itself for requests it rejects
+    Raised by :class:`repro.service.client.Client` (over either
+    transport) for server-reported failures, malformed responses, and
+    connection problems, and by the service layer itself for requests it rejects
     (unknown session, bad arguments...).  ``code`` carries the wire
     protocol's typed error code (see :mod:`repro.service.protocol`) so
     callers can discriminate failure modes without string matching.

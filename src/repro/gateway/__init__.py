@@ -13,19 +13,19 @@ Layout:
 
 * :mod:`~repro.gateway.http` — minimal HTTP/1.1 framing (parse one
   request, serialize one response) with hard size limits;
-* :mod:`~repro.gateway.routes` — method + ``{param}`` pattern router
-  with typed 404/405;
 * :mod:`~repro.gateway.schemas` — edge validation and the total
   wire-code → HTTP-status map;
 * :mod:`~repro.gateway.auth` — bearer tokens, token-bucket rate limits;
 * :mod:`~repro.gateway.metrics` — counters/gauges/histograms and the
   text exposition renderer (stdlib-only);
-* :mod:`~repro.gateway.backend` — in-process ``SessionManager`` or
-  proxy to a TCP/UDS service;
+* :mod:`~repro.gateway.backend` — in-process ``SessionManager`` (the
+  service's own dispatcher) or a v1-frame proxy to a TCP/UDS service;
 * :mod:`~repro.gateway.app` — :class:`PartitionGateway`, tying it all
-  together (``repro-igp gateway`` runs it);
-* :mod:`~repro.gateway.client` — :class:`GatewayClient`, the blocking
-  typed client (``repro-igp client --http ...`` drives it).
+  together (``repro-igp gateway`` runs it); its routes are built from
+  the op table in :mod:`repro.service.ops`;
+* :mod:`~repro.gateway.client` — :class:`GatewayClient`, the service's
+  one typed client over HTTP (``repro-igp client --http ...`` drives
+  it).
 """
 
 from repro.gateway.app import PartitionGateway

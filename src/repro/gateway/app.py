@@ -35,14 +35,9 @@ state), then exits 0.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import json
 import logging
-import os
 from functools import partial
-from pathlib import Path
-from typing import Any, Awaitable, Callable
 
 from repro.errors import ServiceError
 from repro.gateway import http as ghttp
@@ -50,11 +45,11 @@ from repro.gateway import schemas
 from repro.gateway.auth import AuthError, Authenticator, parse_token_spec
 from repro.gateway.backend import LocalBackend, RemoteBackend
 from repro.gateway.metrics import MetricsRegistry
-from repro.gateway.routes import Router, RoutingError
 from repro.obs import export as obs_export
-from repro.obs import get_tracer, wrap_context
-from repro.service import protocol
-from repro.service.batching import PushBatcher
+from repro.obs import get_tracer
+from repro.service import ops, protocol
+from repro.service.ops import Router, RoutingError
+from repro.service.server import Endpoint
 
 __all__ = ["PartitionGateway"]
 
@@ -63,12 +58,8 @@ logger = logging.getLogger(__name__)
 _JSON = "application/json"
 _PROM = "text/plain; version=0.0.4; charset=utf-8"
 
-#: A handler returns (status, json-serializable dict) or
-#: (status, raw bytes, content type).
-_Handler = Callable[..., Awaitable[tuple]]
 
-
-class PartitionGateway:
+class PartitionGateway(Endpoint):
     """HTTP/REST + metrics front half of the partition service.
 
     Parameters
@@ -95,6 +86,8 @@ class PartitionGateway:
         share a :class:`MetricsRegistry` (tests); default builds one.
     """
 
+    kind = "gateway"
+
     def __init__(
         self,
         backend: LocalBackend | RemoteBackend,
@@ -110,19 +103,19 @@ class PartitionGateway:
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.backend = backend
-        self.host = host
-        self.port = port
-        self.uds = uds
-        self.allow_shutdown = allow_shutdown
-        self.auth = Authenticator(tokens or (), rate=rate, burst=burst)
-        if max_workers is None:
-            max_workers = min(8, os.cpu_count() or 1)
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-gateway-op"
+        # Local mode checkpoints every dirty session at shutdown; the
+        # remote proxy only closes its transports.
+        super().__init__(
+            host=host,
+            port=port,
+            uds=uds,
+            max_workers=max_workers,
+            allow_shutdown=allow_shutdown,
+            push_fn=backend.push_batch,
+            close_fn=backend.close,
+            manager=getattr(backend, "manager", None),
         )
-        self._batcher = PushBatcher(self._pool, backend.push_batch)
-        self._server: asyncio.AbstractServer | None = None
-        self._stop = asyncio.Event()
+        self.auth = Authenticator(tokens or (), rate=rate, burst=burst)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._init_metrics()
         self.router = self._build_router()
@@ -170,9 +163,8 @@ class PartitionGateway:
         self._trace_seq = 0
         reg.register_collector(self._collect_backend_stats)
         reg.register_collector(self._collect_phase_latency)
-        manager = getattr(self.backend, "manager", None)
-        if manager is not None:
-            manager.on_op = lambda op, seconds: self._m_op_latency.observe(
+        if self._manager is not None:
+            self._manager.on_op = lambda op, seconds: self._m_op_latency.observe(
                 seconds, {"op": op}
             )
 
@@ -226,43 +218,36 @@ class PartitionGateway:
     # Routes
     # ------------------------------------------------------------------
     def _build_router(self) -> Router:
+        """One route per op-table row (and alias); rows whose HTTP
+        behaviour differs get a dedicated handler, every other op the
+        generic one."""
+        dedicated = {
+            "create": self._h_create,
+            "push": self._h_push,
+            "labels": self._h_labels,
+            "ping": self._h_healthz,
+            "shutdown": self._h_shutdown,
+        }
         r = Router()
-        r.add("GET", "/healthz", self._h_healthz, op="healthz")
+        for op in ops.OPS:
+            handler = dedicated.get(op.name) or partial(self._h_op, op)
+            label = "healthz" if op.wire == "ping" else op.wire
+            for method, path in op.routes:
+                r.add(method, path, handler, op=label)
         r.add("GET", "/metrics", self._h_metrics, op="metrics")
-        r.add("GET", "/sessions", self._h_list, op="list")
-        r.add("POST", "/sessions", self._h_create, op="create")
-        r.add("GET", "/sessions/{name}", self._h_query, op="query")
-        r.add("DELETE", "/sessions/{name}", self._h_close, op="close")
-        r.add("POST", "/sessions/{name}/deltas", self._h_push, op="push")
-        r.add("POST", "/sessions/{name}/flush", self._h_flush, op="flush")
-        r.add(
-            "POST",
-            "/sessions/{name}/repartition",
-            self._h_repartition,
-            op="repartition",
-        )
-        r.add("POST", "/sessions/{name}/open", self._h_open, op="open")
-        r.add("POST", "/sessions/{name}/save", self._h_save, op="save")
-        r.add("POST", "/sessions/{name}/close", self._h_close, op="close")
-        r.add("GET", "/sessions/{name}/quality", self._h_quality, op="quality")
-        r.add("GET", "/sessions/{name}/labels", self._h_labels, op="query")
-        r.add("GET", "/sessions/{name}/stats", self._h_session_stats, op="query")
-        r.add("GET", "/stats", self._h_stats, op="stats")
         # NOT in auth.EXEMPT_PATHS: trace summaries can leak workload
         # shape, so they sit behind the same bearer auth as /stats.
         r.add("GET", "/traces", self._h_traces, op="traces")
-        r.add("POST", "/shutdown", self._h_shutdown, op="shutdown")
         return r
 
-    def _blocking(self, fn, *args, **kwargs):
-        loop = asyncio.get_running_loop()
-        # wrap_context: run_in_executor drops contextvars, which would
-        # orphan the request span's children in the worker thread.
-        return loop.run_in_executor(
-            self._pool, wrap_context(partial(fn, *args, **kwargs))
-        )
-
     # -- handlers -------------------------------------------------------
+    # Each returns (status, json-serializable dict) or (status, raw
+    # bytes, content type).
+    async def _h_op(self, op: ops.Op, request, params) -> tuple:
+        """Every plain op: no body, the session from the path."""
+        session, args = ops.call_args(op, params, request.query, {})
+        return 200, await self._blocking(self.backend.call, op.wire, session, **args)
+
     async def _h_healthz(self, request, params) -> tuple:
         return 200, {"ok": True, "protocol": protocol.PROTOCOL_VERSION}
 
@@ -272,22 +257,15 @@ class PartitionGateway:
         text = await self._blocking(self.registry.render)
         return 200, text.encode("utf-8"), _PROM
 
-    async def _h_list(self, request, params) -> tuple:
-        return 200, await self._blocking(self.backend.call, "list")
-
     async def _h_create(self, request, params) -> tuple:
         body = schemas.parse_json_body(request.body, empty_ok=False)
         schemas.check_fields(
             body, schemas.SESSION_FIELDS, required=("name", "partitions")
         )
-        name = body.pop("name")
-        result = await self._blocking(self.backend.call, "create", name, **body)
-        return 201, result
-
-    async def _h_open(self, request, params) -> tuple:
-        return 200, await self._blocking(
-            self.backend.call, "open", params["name"]
+        session, args = ops.call_args(
+            ops.op_named("create"), params, request.query, body
         )
+        return 201, await self._blocking(self.backend.call, "create", session, **args)
 
     async def _h_push(self, request, params) -> tuple:
         body = schemas.parse_json_body(request.body, empty_ok=False)
@@ -315,50 +293,11 @@ class PartitionGateway:
             self.backend.push_batch, params["name"], deltas
         )
 
-    async def _h_flush(self, request, params) -> tuple:
-        return 200, await self._blocking(
-            self.backend.call, "flush", params["name"]
-        )
-
-    async def _h_repartition(self, request, params) -> tuple:
-        return 200, await self._blocking(
-            self.backend.call, "repartition", params["name"]
-        )
-
-    async def _h_quality(self, request, params) -> tuple:
-        return 200, await self._blocking(
-            self.backend.call, "quality", params["name"]
-        )
-
-    async def _h_query(self, request, params) -> tuple:
-        labels = request.query.get("labels", "") in ("1", "true", "yes")
-        return 200, await self._blocking(
-            self.backend.call, "query", params["name"], labels=labels
-        )
-
     async def _h_labels(self, request, params) -> tuple:
         result = await self._blocking(
             self.backend.call, "query", params["name"], labels=True
         )
         return 200, {"name": params["name"], "labels": result.get("labels")}
-
-    async def _h_session_stats(self, request, params) -> tuple:
-        return 200, await self._blocking(
-            self.backend.call, "query", params["name"]
-        )
-
-    async def _h_stats(self, request, params) -> tuple:
-        return 200, await self._blocking(self.backend.call, "stats")
-
-    async def _h_save(self, request, params) -> tuple:
-        return 200, await self._blocking(
-            self.backend.call, "save", params["name"]
-        )
-
-    async def _h_close(self, request, params) -> tuple:
-        return 200, await self._blocking(
-            self.backend.call, "close", params["name"]
-        )
 
     async def _h_traces(self, request, params) -> tuple:
         """Last-N trace summaries off the in-process tracer ring."""
@@ -395,58 +334,32 @@ class PartitionGateway:
         }
 
     async def _h_shutdown(self, request, params) -> tuple:
-        if not self.allow_shutdown:
-            raise ServiceError(
-                "this gateway does not accept remote shutdown", code="forbidden"
-            )
-        self._stop.set()
-        return 200, {"stopping": True}
+        return 200, self._shutdown_requested()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        peer = writer.get_extra_info("peername")
+    async def _serve_one(self, reader, writer) -> bool:
         try:
-            while True:
-                try:
-                    request = await ghttp.read_request(reader, writer)
-                except ghttp.HTTPError as exc:
-                    # Framing-level failure: answer once, then hang up
-                    # (the byte stream cannot be resynchronized).  No
-                    # request was parsed, so the id is freshly minted.
-                    rid = get_tracer().mint_trace_id()
-                    body = schemas.error_body(
-                        exc.code, str(exc), request_id=rid
-                    )
-                    writer.write(
-                        ghttp.response_bytes(
-                            exc.status,
-                            body,
-                            headers={"X-Request-Id": rid},
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break  # clean EOF between requests
-                raw = await self._respond(request)
-                writer.write(raw)
-                await writer.drain()
-                if not request.keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # client went away / gateway stopping
-        # repro: ignore[RPR501] - one bad connection must not kill the gateway
-        except Exception:  # pragma: no cover - defensive
-            logger.exception("gateway connection handler for %s crashed", peer)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            request = await ghttp.read_request(reader, writer)
+        except ghttp.HTTPError as exc:
+            # Framing-level failure: answer once, then hang up (the byte
+            # stream cannot be resynchronized).  No request was parsed,
+            # so the id is freshly minted.
+            rid = get_tracer().mint_trace_id()
+            body = schemas.error_body(exc.code, str(exc), request_id=rid)
+            writer.write(
+                ghttp.response_bytes(
+                    exc.status, body, headers={"X-Request-Id": rid}, keep_alive=False
+                )
+            )
+            await writer.drain()
+            return False
+        if request is None:
+            return False  # clean EOF between requests
+        writer.write(await self._respond(request))
+        await writer.drain()
+        return request.keep_alive
 
     async def _respond(self, request: ghttp.HTTPRequest) -> bytes:
         """Run one request through auth → route → handler and serialize
@@ -528,80 +441,6 @@ class PartitionGateway:
             self._m_requests.inc({"op": op, "status": str(status)})
             if sp is not None and sp.duration_s is not None:
                 self._m_latency.observe(sp.duration_s, {"op": op})
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind and start accepting; resolves :attr:`port` (TCP) or
-        creates the socket file (UDS)."""
-        if self.uds is not None:
-            path = Path(self.uds)
-            if path.exists():
-                path.unlink()
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=str(path)
-            )
-            logger.info("partition gateway listening on uds %s", path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-            logger.info(
-                "partition gateway listening on http://%s:%d", self.host, self.port
-            )
-        manager = getattr(self.backend, "manager", None)
-        if manager is not None:
-            manager.start_worker()
-
-    async def serve_until_shutdown(self) -> None:
-        """Serve until ``POST /shutdown``, SIGTERM/SIGINT (via
-        :meth:`run`) or cancellation, then shut down gracefully: stop
-        accepting, drain in-flight push queues, checkpoint dirty
-        sessions (in-process backend), release the pool."""
-        assert self._server is not None, "call start() first"
-        try:
-            await self._stop.wait()
-        finally:
-            self._server.close()
-            await self._server.wait_closed()
-            await self._batcher.drain()
-            # Local mode checkpoints every dirty session here; the
-            # remote proxy only closes its client sockets — either way
-            # it is IO, so it runs off-loop.
-            await asyncio.get_running_loop().run_in_executor(
-                self._pool, self.backend.close
-            )
-            self._pool.shutdown(wait=True)
-            if self.uds is not None:
-                Path(self.uds).unlink(missing_ok=True)
-
-    def run(self, *, on_ready=None) -> None:
-        """Blocking runner: start, serve, exit 0 on graceful shutdown.
-
-        ``on_ready(gateway)`` fires once the socket is bound — by then
-        :attr:`port` holds the actual port.
-        """
-
-        async def main():
-            import signal
-
-            await self.start()
-            if on_ready is not None:
-                on_ready(self)
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self._stop.set)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass  # non-unix platforms fall back to KeyboardInterrupt
-            await self.serve_until_shutdown()
-
-        try:
-            asyncio.run(main())
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            pass
 
     @staticmethod
     def parse_tokens(specs: list[str] | None) -> list[tuple[str, str]]:

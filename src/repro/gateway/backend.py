@@ -1,21 +1,21 @@
-"""Session backends for the gateway: in-process or proxied over the v1
-wire protocol.
+"""Session backends for the gateway: the transport its REST handlers
+call through.
 
-The gateway's REST handlers speak to a *backend* with one blocking call
-surface (these run in the gateway's thread pool, never on the event
-loop):
+Both backends have one blocking call surface — ``call(op, session,
+**args)`` for every manager-served op and ``push_batch(name, deltas)``
+for the push batcher — and run in the gateway's thread pool, never on
+the event loop:
 
 * :class:`LocalBackend` — the gateway owns a
-  :class:`~repro.service.manager.SessionManager` directly: one process
-  serves HTTP straight off the session host.  This is the
-  single-process production shape and what ``repro-igp gateway``
-  runs by default.
-* :class:`RemoteBackend` — the gateway proxies every op to an existing
-  TCP/UDS partition service via
-  :class:`~repro.service.client.ServiceClient`, one connection per pool
-  thread (the client is not thread-safe).  This splits the HTTP edge
-  from the session host — the first step of the ROADMAP's multi-host
-  story.
+  :class:`~repro.service.manager.SessionManager` and serves each op
+  through :func:`repro.service.ops.dispatch`, the same dispatcher the
+  TCP server uses.  This is the single-process production shape and
+  what ``repro-igp gateway`` runs by default.
+* :class:`RemoteBackend` — the gateway proxies every op to a running
+  TCP/UDS partition service over v1 frames, one
+  :class:`~repro.service.client.FrameTransport` per pool thread (a
+  transport is not thread-safe).  This splits the HTTP edge from the
+  session host.
 
 Push payloads stay *wire-encoded* (base64 npz strings) through the
 backend boundary: the local backend decodes them in the pool thread
@@ -29,8 +29,8 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.errors import ServiceError
-from repro.service.client import ServiceClient
+from repro.service import ops
+from repro.service.client import FrameTransport
 from repro.service.manager import SessionManager
 from repro.service.protocol import delta_from_wire
 
@@ -47,47 +47,17 @@ class LocalBackend:
     def __init__(self, manager: SessionManager) -> None:
         self.manager = manager
 
-    def call(self, op: str, session: str | None = None, **args: Any) -> dict:
-        """One blocking backend op (push goes through :meth:`push_batch`
+    def call(self, op: str, session: str | None = None, **args: Any) -> dict[str, Any]:
+        """One blocking manager op (push goes through :meth:`push_batch`
         via the gateway's batcher instead)."""
-        mgr = self.manager
-        if op == "create":
-            return mgr.create(self._need(op, session), args)
-        if op == "open":
-            return mgr.open(self._need(op, session))
-        if op == "flush":
-            return mgr.flush(self._need(op, session))
-        if op == "repartition":
-            return mgr.repartition(self._need(op, session))
-        if op == "quality":
-            return mgr.quality(self._need(op, session))
-        if op == "query":
-            return mgr.query(
-                self._need(op, session), labels=bool(args.get("labels", False))
-            )
-        if op == "save":
-            return mgr.save(self._need(op, session))
-        if op == "close":
-            return mgr.close(self._need(op, session))
-        if op == "stats":
-            return mgr.stats()
-        if op == "list":
-            return {"sessions": mgr.list_sessions()}
-        raise ServiceError(f"unhandled backend op {op!r}", code="bad-request")
+        return ops.dispatch(self.manager, op, session, args)
 
-    @staticmethod
-    def _need(op: str, session: str | None) -> str:
-        if session is None:
-            raise ServiceError(
-                f"op {op!r} requires a session name", code="bad-request"
-            )
-        return session
-
-    def push_batch(self, name: str, deltas_wire: list) -> dict:
+    def push_batch(self, name: str, deltas_wire: list[str]) -> dict[str, Any]:
         """Decode one micro-batch of wire deltas and apply it as a
         single :meth:`SessionManager.push` (one WAL record)."""
         deltas = [delta_from_wire(text) for text in deltas_wire]
-        return self.manager.push(name, deltas)
+        result: dict[str, Any] = self.manager.push(name, deltas)
+        return result
 
     def close(self) -> None:
         """Checkpoint every session and release WAL handles."""
@@ -100,9 +70,9 @@ class LocalBackend:
 class RemoteBackend:
     """Proxy every op to a running partition service over TCP or UDS.
 
-    Each pool thread lazily opens (and keeps) its own
-    :class:`ServiceClient`; a connection-level failure drops that
-    thread's client so the next call reconnects.
+    Each pool thread lazily gets its own :class:`FrameTransport`, kept
+    for the backend's lifetime; after a transport failure it reconnects
+    on that thread's next call.
     """
 
     #: The TCP service owns session state and its own shutdown
@@ -122,59 +92,35 @@ class RemoteBackend:
         self.uds = uds
         self.timeout = timeout
         self._local = threading.local()
-        self._clients: list[ServiceClient] = []
-        self._clients_lock = threading.Lock()
+        self._transports: list[FrameTransport] = []
+        self._transports_lock = threading.Lock()
 
-    def _client(self) -> ServiceClient:
-        client = getattr(self._local, "client", None)
-        if client is None:
-            client = ServiceClient(
+    def _transport(self) -> FrameTransport:
+        transport: FrameTransport | None = getattr(self._local, "transport", None)
+        if transport is None:
+            transport = FrameTransport(
                 self.host, self.port, uds=self.uds, timeout=self.timeout
             )
-            self._local.client = client
-            with self._clients_lock:
-                self._clients.append(client)
-        return client
+            self._local.transport = transport
+            with self._transports_lock:
+                self._transports.append(transport)
+        return transport
 
-    def _request(self, op: str, session: str | None, **args: Any) -> dict:
-        try:
-            return self._client().request(op, session, **args)
-        except ServiceError as exc:
-            if exc.code == "connection":
-                # Poisoned connection: forget it so this thread
-                # reconnects on its next call.
-                client = getattr(self._local, "client", None)
-                if client is not None:
-                    client.close()
-                    self._local.client = None
-            raise
+    def call(self, op: str, session: str | None = None, **args: Any) -> dict[str, Any]:
+        """Forward one op as a v1 frame."""
+        return self._transport().call(op, session, args)
 
-    def call(self, op: str, session: str | None = None, **args: Any) -> dict:
-        if op == "list":
-            # The v1 wire protocol has no 'list' op; the stats surface
-            # already enumerates every session known on disk.
-            stats = self._request("stats", None)
-            return {"sessions": sorted(stats.get("sessions", {}))}
-        return self._request(op, session, **args)
-
-    def push_batch(self, name: str, deltas_wire: list) -> dict:
+    def push_batch(self, name: str, deltas_wire: list[str]) -> dict[str, Any]:
         """Forward a micro-batch delta-by-delta (the wire protocol takes
         one delta per push; the TCP server re-batches concurrent
         clients at the session lock).  Returns the last ack."""
-        result: dict = {}
-        for text in deltas_wire:
-            result = self._request("push", name, delta=text)
-        return result
-
-    def stop_service(self) -> dict:
-        """Forward a shutdown to the backing service."""
-        return self._request("shutdown", None)
+        return self._transport().push_batch(name, deltas_wire)
 
     def close(self) -> None:
-        with self._clients_lock:
-            clients, self._clients = self._clients, []
-        for client in clients:
-            client.close()
+        with self._transports_lock:
+            transports, self._transports = self._transports, []
+        for transport in transports:
+            transport.close()
 
     def describe(self) -> str:
         if self.uds is not None:

@@ -1,327 +1,7 @@
-"""Blocking HTTP client for the partition gateway.
+"""The typed client over HTTP: :class:`GatewayClient` is
+:class:`repro.service.client.Client`, whose default transport speaks
+the gateway's REST routes (see :mod:`repro.service.client`)."""
 
-:class:`GatewayClient` mirrors :class:`~repro.service.client
-.ServiceClient` method-for-method but speaks the REST surface instead
-of the v1 wire protocol — same typed ops, same
-:class:`~repro.errors.ServiceError` failures carrying the server's
-error code (taken from the JSON error body, not the HTTP status).  It
-drives the ``repro-igp client --http ...`` CLI verbs, the gateway tests
-and ``benchmarks/bench_gateway.py``::
-
-    from repro.gateway import GatewayClient
-
-    with GatewayClient(port=8421, token="ops=s3cret") as gw:
-        gw.create("social", partitions=8, shards=4,
-                  source={"source": "churn", "steps": 10, "seed": 3})
-        for delta in deltas:
-            gw.push("social", delta)
-        print(gw.quality("social"))
-        labels = gw.labels("social")
-
-Built on stdlib :mod:`http.client` with one kept-alive connection per
-instance (not thread-safe — one client per thread, like
-``ServiceClient``).  Pass ``uds=`` to talk over a Unix domain socket
-(the gateway's ``--uds`` transport).
-"""
-
-from __future__ import annotations
-
-import http.client
-import json
-import socket
-import time
-from typing import Any
-
-import numpy as np
-
-from repro.errors import ServiceError
-from repro.graph.csr import CSRGraph
-from repro.graph.incremental import GraphDelta
-from repro.service import protocol
+from repro.service.client import Client as GatewayClient
 
 __all__ = ["GatewayClient"]
-
-
-class _UDSHTTPConnection(http.client.HTTPConnection):
-    """``http.client`` connection over an ``AF_UNIX`` socket."""
-
-    def __init__(self, path: str, timeout: float) -> None:
-        # The nominal host only feeds the Host header; the socket below
-        # ignores it entirely.
-        super().__init__("localhost", timeout=timeout)
-        self._uds_path = path
-
-    def connect(self) -> None:  # pragma: no cover - exercised via UDS tests
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        sock.connect(self._uds_path)
-        self.sock = sock
-
-
-class GatewayClient:
-    """One blocking keep-alive connection to a
-    :class:`~repro.gateway.app.PartitionGateway`."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8421,
-        *,
-        uds: str | None = None,
-        token: str | None = None,
-        timeout: float = 60.0,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.uds = uds
-        self.timeout = timeout
-        if token is not None and "=" in token:
-            # Accept the CLI's name=secret spec; only the secret goes on
-            # the wire.
-            token = token.partition("=")[2]
-        self._token = token
-        self._conn = self._new_connection()
-
-    def _new_connection(self) -> http.client.HTTPConnection:
-        if self.uds is not None:
-            return _UDSHTTPConnection(self.uds, self.timeout)
-        return http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-
-    def _endpoint(self) -> str:
-        return self.uds if self.uds is not None else f"{self.host}:{self.port}"
-
-    @classmethod
-    def connect(
-        cls,
-        host: str = "127.0.0.1",
-        port: int = 8421,
-        *,
-        uds: str | None = None,
-        token: str | None = None,
-        retries: int = 0,
-        delay: float = 0.1,
-        timeout: float = 60.0,
-    ) -> "GatewayClient":
-        """Connect with retry until ``GET /healthz`` answers — tests and
-        benchmarks use this to wait for a freshly spawned gateway."""
-        last: ServiceError | None = None
-        for attempt in range(retries + 1):
-            client = cls(host, port, uds=uds, token=token, timeout=timeout)
-            try:
-                client.healthz()
-                return client
-            except ServiceError as exc:
-                client.close()
-                last = exc
-                if attempt < retries:
-                    time.sleep(delay)
-        raise last
-
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def request(
-        self, method: str, path: str, body: dict | None = None
-    ) -> dict:
-        """One JSON round trip; returns the ``result`` payload or raises
-        :class:`ServiceError` with the body's error code."""
-        status, raw, _ = self._round_trip(method, path, body)
-        try:
-            envelope = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise ServiceError(
-                f"gateway at {self._endpoint()} returned a non-JSON body "
-                f"for {method} {path} (HTTP {status})",
-                code="protocol",
-            ) from None
-        if not isinstance(envelope, dict) or envelope.get("ok") is not True:
-            error = (envelope or {}).get("error") if isinstance(envelope, dict) else None
-            if isinstance(error, dict):
-                raise ServiceError(
-                    str(error.get("message", "gateway error")),
-                    code=str(error.get("code", "internal")),
-                )
-            raise ServiceError(
-                f"gateway returned HTTP {status} with an unrecognized body",
-                code="protocol",
-            )
-        result = envelope.get("result")
-        return result if isinstance(result, dict) else {"value": result}
-
-    def _round_trip(
-        self, method: str, path: str, body: dict | None
-    ) -> tuple[int, bytes, str]:
-        headers = {"Accept": "application/json"}
-        if self._token is not None:
-            headers["Authorization"] = f"Bearer {self._token}"
-        payload = None
-        if body is not None:
-            payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        try:
-            self._conn.request(method, path, body=payload, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
-            return response.status, raw, response.headers.get("Content-Type", "")
-        except (OSError, http.client.HTTPException) as exc:
-            # Drop the (possibly half-dead) connection so the next call
-            # reconnects cleanly.
-            self._conn.close()
-            self._conn = self._new_connection()
-            raise ServiceError(
-                f"cannot reach partition gateway at {self._endpoint()}: {exc}",
-                code="connection",
-            ) from None
-
-    def close(self) -> None:
-        """Close the connection (idempotent)."""
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - already gone
-            pass
-
-    def __enter__(self) -> "GatewayClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Typed ops (mirroring ServiceClient)
-    # ------------------------------------------------------------------
-    def healthz(self) -> dict:
-        """Liveness check; returns the gateway's protocol version."""
-        return self.request("GET", "/healthz")
-
-    def metrics(self) -> str:
-        """The Prometheus text exposition — raw, not a JSON envelope."""
-        status, raw, content_type = self._round_trip("GET", "/metrics", None)
-        if status != 200:
-            raise ServiceError(
-                f"GET /metrics returned HTTP {status}", code="service"
-            )
-        if not content_type.startswith("text/plain"):
-            raise ServiceError(
-                f"unexpected /metrics content type {content_type!r}",
-                code="protocol",
-            )
-        return raw.decode("utf-8")
-
-    def create(
-        self,
-        name: str,
-        *,
-        partitions: int,
-        graph: CSRGraph | None = None,
-        source: dict | None = None,
-        initial: str = "rsb",
-        seed: int = 0,
-        policy: dict | None = None,
-        config: dict | None = None,
-        strict: bool = True,
-        accumulate_weights: bool = False,
-        shards: int | None = None,
-        max_resident: int | None = None,
-    ) -> dict:
-        """``POST /sessions`` — create a named session from an inline
-        graph or a workload ``source`` spec (exactly one of the two);
-        ``shards``/``max_resident`` make it sharded server-side."""
-        body: dict[str, Any] = {
-            "name": name,
-            "partitions": partitions,
-            "initial": initial,
-            "seed": seed,
-            "strict": strict,
-            "accumulate_weights": accumulate_weights,
-        }
-        if graph is not None:
-            body["graph"] = protocol.graph_to_wire(graph)
-        if source is not None:
-            body["source"] = source
-        if policy is not None:
-            body["policy"] = policy
-        if config is not None:
-            body["config"] = config
-        if shards is not None:
-            body["shards"] = shards
-        if max_resident is not None:
-            body["max_resident"] = max_resident
-        return self.request("POST", "/sessions", body)
-
-    def open(self, name: str) -> dict:
-        """Materialize an existing session (recovering WAL if needed)."""
-        return self.request("POST", f"/sessions/{name}/open")
-
-    def push(self, name: str, delta: GraphDelta) -> dict:
-        """Push one delta; concurrent pushes micro-batch gateway-side."""
-        return self.request(
-            "POST",
-            f"/sessions/{name}/deltas",
-            {"delta": protocol.delta_to_wire(delta)},
-        )
-
-    def push_many(self, name: str, deltas: list[GraphDelta]) -> dict:
-        """Push a pre-composed batch in one request (one WAL record
-        against an in-process backend)."""
-        return self.request(
-            "POST",
-            f"/sessions/{name}/deltas",
-            {"deltas": [protocol.delta_to_wire(d) for d in deltas]},
-        )
-
-    def flush(self, name: str) -> dict:
-        """Flush the pending composed delta now."""
-        return self.request("POST", f"/sessions/{name}/flush")
-
-    def repartition(self, name: str) -> dict:
-        """Flush pending or re-run the LP pipeline on the current graph."""
-        return self.request("POST", f"/sessions/{name}/repartition")
-
-    def quality(self, name: str) -> dict:
-        """Cut/balance metrics of the session's current partition."""
-        return self.request("GET", f"/sessions/{name}/quality")
-
-    def query(self, name: str, *, labels: bool = False) -> dict:
-        """Session info + history (+ decoded ``labels`` on request)."""
-        suffix = "?labels=1" if labels else ""
-        result = self.request("GET", f"/sessions/{name}{suffix}")
-        if labels and "labels" in result:
-            result["labels"] = np.asarray(
-                protocol.arrays_from_wire(result["labels"])["part"],
-                dtype=np.int64,
-            )
-        return result
-
-    def labels(self, name: str) -> np.ndarray:
-        """The current partition vector via ``GET .../labels``."""
-        result = self.request("GET", f"/sessions/{name}/labels")
-        return np.asarray(
-            protocol.arrays_from_wire(result["labels"])["part"],
-            dtype=np.int64,
-        )
-
-    def session_stats(self, name: str) -> dict:
-        """Per-session info via ``GET .../stats`` (no labels)."""
-        return self.request("GET", f"/sessions/{name}/stats")
-
-    def save(self, name: str) -> dict:
-        """Checkpoint the session (snapshot + WAL truncate)."""
-        return self.request("POST", f"/sessions/{name}/save")
-
-    def close_session(self, name: str) -> dict:
-        """Checkpoint and release the session's residency."""
-        return self.request("POST", f"/sessions/{name}/close")
-
-    def list_sessions(self) -> list[str]:
-        """Names of every known session."""
-        return list(self.request("GET", "/sessions").get("sessions", []))
-
-    def stats(self) -> dict:
-        """Backend-wide counters and per-session residency info."""
-        return self.request("GET", "/stats")
-
-    def shutdown(self) -> dict:
-        """Ask the gateway to drain, checkpoint and exit."""
-        return self.request("POST", "/shutdown")

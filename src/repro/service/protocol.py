@@ -22,9 +22,12 @@ service (see :mod:`repro.obs`).  Absent ⇒ the operation starts a root
 trace, so pre-trace clients interoperate unchanged.
 
 ``id`` is a caller-chosen correlation token echoed back verbatim; ``op``
-is one of :data:`OPS` (``create`` / ``open`` / ``push`` / ``flush`` /
-``repartition`` / ``query`` / ``quality`` / ``save`` / ``close`` /
-``stats`` plus the housekeeping ``ping`` / ``shutdown``).  Errors carry a
+is one of :data:`~repro.service.ops.WIRE_OPS` (``create`` / ``open`` /
+``push`` / ``flush`` / ``repartition`` / ``query`` / ``quality`` /
+``save`` / ``close`` / ``list`` / ``stats`` plus the housekeeping
+``ping`` / ``shutdown``), declared once in :mod:`repro.service.ops`.
+A response echoes its request's ``id``; a client that reads any other
+``id`` treats the connection as broken and reconnects.  Errors carry a
 *typed code* (:data:`ERROR_CODES`) mapping the :mod:`repro.errors`
 hierarchy, so clients discriminate failure modes without string matching.
 
@@ -70,6 +73,7 @@ from repro.errors import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.incremental import GraphDelta
+from repro.service.ops import WIRE_OPS
 
 if TYPE_CHECKING:
     import asyncio
@@ -79,7 +83,6 @@ __all__ = [
     "ERROR_CODES",
     "FrameError",
     "MAX_FRAME_BYTES",
-    "OPS",
     "PROTOCOL_VERSION",
     "WIRE_CODES",
     "arrays_from_wire",
@@ -109,22 +112,6 @@ PROTOCOL_VERSION = 1
 
 #: Frames larger than this are rejected before any allocation happens.
 MAX_FRAME_BYTES = 64 << 20
-
-#: Operations a server understands (the service API surface).
-OPS = (
-    "create",
-    "open",
-    "push",
-    "flush",
-    "repartition",
-    "query",
-    "quality",
-    "save",
-    "close",
-    "stats",
-    "ping",
-    "shutdown",
-)
 
 _HEADER = struct.Struct(">I")
 
@@ -307,9 +294,10 @@ def parse_request(env: dict[str, Any]) -> tuple[str, str | None, dict[str, Any]]
             code="version",
         )
     op = env.get("op")
-    if not isinstance(op, str) or op not in OPS:
+    if not isinstance(op, str) or op not in WIRE_OPS:
         raise ServiceError(
-            f"unknown op {op!r}; valid ops: {', '.join(OPS)}", code="bad-request"
+            f"unknown op {op!r}; valid ops: {', '.join(WIRE_OPS)}",
+            code="bad-request",
         )
     session = env.get("session")
     if session is not None and not isinstance(session, str):

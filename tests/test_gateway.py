@@ -13,8 +13,10 @@ The headline guarantees under test:
   labels and simplex pivot counts — across a real process boundary,
   authenticated, over HTTP — and ``/metrics`` reports the replay;
 * SIGTERM is graceful: in-flight pushes drain, dirty sessions
-  checkpoint, the process exits 0, and the restart replays nothing;
-* a Unix-domain-socket gateway behaves identically to the TCP one.
+  checkpoint, the process exits 0, and the restart replays nothing.
+
+Transport parity (TCP/UDS, in-process/proxy backend) is covered by
+``tests/test_client_transports.py``.
 """
 
 from __future__ import annotations
@@ -45,21 +47,18 @@ from repro.gateway import (
     LocalBackend,
     MetricsRegistry,
     PartitionGateway,
-    RemoteBackend,
 )
 from repro.gateway import schemas
 from repro.gateway.auth import EXEMPT_PATHS, AuthError, RateLimiter, parse_token_spec
 from repro.gateway.http import HTTPRequest
 from repro.gateway.metrics import Counter, Gauge, Histogram
-from repro.gateway.routes import Router, RoutingError
 from repro.graph.incremental import GraphDelta
 from repro.graph.sharded import ShardedCSRGraph
 from repro.rng import make_rng
 from repro.service import protocol
-from repro.service.client import ServiceClient
+from repro.service.ops import Router, RoutingError
 from repro.service.manager import SessionManager
 from repro.service.protocol import WIRE_CODES
-from repro.service.server import PartitionServer
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -734,110 +733,6 @@ class TestMetricsExposition:
             assert values == sorted(values), f"non-cumulative buckets for {key}"
             assert buckets[-1][0] == float("inf")
             assert buckets[-1][1] == counts[key]
-
-
-# ----------------------------------------------------------------------
-# Unix-domain-socket transports
-# ----------------------------------------------------------------------
-class TestUnixSockets:
-    def test_gateway_uds_parity_with_tcp(self, tmp_path):
-        """The same op sequence over UDS and TCP gateways lands on
-        identical labels and identical history."""
-        _, deltas = make_stream(**CHURN)
-        results = {}
-        for mode in ("tcp", "uds"):
-            manager = SessionManager(tmp_path / mode, fsync=False)
-            uds = str(tmp_path / f"{mode}.sock") if mode == "uds" else None
-            gw = PartitionGateway(
-                LocalBackend(manager), port=0, uds=uds, tokens=[("t", TOKEN)]
-            )
-            loop, thread, serve = _start_gateway(gw)
-            try:
-                kwargs = {"uds": uds} if uds else {"port": gw.port}
-                with GatewayClient(token=TOKEN, **kwargs) as c:
-                    c.create(
-                        "s", partitions=4, source=dict(CHURN), seed=0,
-                        policy=dict(PER_DELTA), config={"lp_backend": "revised"},
-                    )
-                    for d in deltas[:3]:
-                        c.push("s", d)
-                    q = c.query("s", labels=True)
-                    results[mode] = (
-                        q["labels"],
-                        [h["lp_pivots"] for h in q["history"]],
-                    )
-            finally:
-                _stop_gateway(gw, loop, thread, serve)
-            if uds:
-                assert not Path(uds).exists()  # removed on clean shutdown
-        assert np.array_equal(results["tcp"][0], results["uds"][0])
-        assert results["tcp"][1] == results["uds"][1]
-
-    def test_service_uds_roundtrip(self, tmp_path):
-        """The TCP wire protocol itself served over a Unix socket."""
-        uds = str(tmp_path / "svc.sock")
-        manager = SessionManager(tmp_path / "root", fsync=False)
-        srv = PartitionServer(manager, uds=uds)
-        loop, thread = _loop_thread()
-        asyncio.run_coroutine_threadsafe(srv.start(), loop).result(30)
-        serve = asyncio.run_coroutine_threadsafe(srv.serve_until_shutdown(), loop)
-        try:
-            _, deltas = make_stream(**CHURN)
-            with ServiceClient(uds=uds) as svc:
-                assert svc.ping()["pong"]
-                svc.create(
-                    "u", partitions=4, source=dict(CHURN), seed=0,
-                    policy=dict(PER_DELTA),
-                )
-                ack = svc.push("u", deltas[0])
-                assert ack["flushed"]
-                assert svc.query("u")["num_pushed"] == 1
-        finally:
-            loop.call_soon_threadsafe(srv._stop.set)
-            serve.result(30)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(10)
-        assert not Path(uds).exists()
-
-    def test_gateway_proxy_backend_roundtrip(self, tmp_path):
-        """Gateway in proxy mode fronting a real TCP service: HTTP in,
-        wire protocol out, same answers."""
-        manager = SessionManager(tmp_path / "root", fsync=False)
-        srv = PartitionServer(manager, port=0)
-        loop, thread = _loop_thread()
-        asyncio.run_coroutine_threadsafe(srv.start(), loop).result(30)
-        srv_task = asyncio.run_coroutine_threadsafe(srv.serve_until_shutdown(), loop)
-
-        gw = PartitionGateway(
-            RemoteBackend(port=srv.port), port=0, tokens=[("t", TOKEN)]
-        )
-        gloop, gthread, gserve = _start_gateway(gw)
-        try:
-            _, deltas = make_stream(**CHURN)
-            with client_for(gw) as c:
-                c.create(
-                    "p", partitions=4, source=dict(CHURN), seed=0,
-                    policy=dict(PER_DELTA),
-                )
-                c.push("p", deltas[0])
-                assert c.list_sessions() == ["p"]
-                q = c.query("p", labels=True)
-                assert q["num_pushed"] == 1
-                with pytest.raises(ServiceError) as ei:
-                    c.open("ghost")
-                assert ei.value.code == "unknown-session"
-                text = c.metrics()
-                assert "repro_service_events_total" in text
-        finally:
-            _stop_gateway(gw, gloop, gthread, gserve)
-            loop.call_soon_threadsafe(srv._stop.set)
-            srv_task.result(30)
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(10)
-        # proxy shutdown must NOT have closed the service's sessions:
-        # the manager still owns them (graceful close happened service-side
-        # only when the service itself stopped).
-        assert manager.counters["created"] == 1
 
 
 # ----------------------------------------------------------------------

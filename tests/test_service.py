@@ -265,34 +265,6 @@ def client_for(srv, **kw):
 
 
 class TestServer:
-    def test_full_op_roundtrip(self, server):
-        base, deltas = make_stream(**CHURN)
-        with client_for(server) as svc:
-            assert svc.ping()["pong"]
-            info = svc.create(
-                "s", partitions=4, source=dict(CHURN), seed=0,
-                policy=dict(PER_DELTA), config={"lp_backend": "revised"},
-            )
-            assert info["num_vertices"] == base.num_vertices
-            ack = svc.push("s", deltas[0])
-            assert ack["flushed"] and ack["seq"] >= 1
-            svc.flush("s")
-            rep = svc.repartition("s")
-            assert rep["batch"]["trigger"] == "repartition"
-            q = svc.quality("s")
-            assert q["num_partitions"] == 4
-            out = svc.query("s", labels=True)
-            assert out["labels"].shape[0] == out["num_vertices"]
-            saved = svc.save("s")
-            assert Path(saved["snapshot"]).exists()
-            closed = svc.close_session("s")
-            assert closed["resident"] is False
-            reopened = svc.open("s")
-            assert reopened["num_pushed"] == 1
-            stats = svc.stats()
-            assert stats["counters"]["pushes"] == 1
-            assert "s" in stats["sessions"]
-
     def test_concurrent_clients_match_sequential_composed_stream(self, server):
         """N clients race pushes of commuting deltas into one session;
         the result must equal the same deltas pushed sequentially and
@@ -372,7 +344,7 @@ class TestServer:
                 svc.create("dup", partitions=4, source=dict(CHURN))
             assert ei.value.code == "session-exists"
             with pytest.raises(ServiceError) as ei:
-                svc.request("push", "dup")  # missing delta payload
+                svc.request("POST", "/sessions/dup/deltas", {})  # no delta
             assert ei.value.code == "bad-request"
 
 
